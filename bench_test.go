@@ -101,6 +101,30 @@ func BenchmarkPropagationRETAIL(b *testing.B) {
 	}
 }
 
+// BenchmarkAlphaSearchRETAIL times the recipe's α binary search (steps 8-9
+// of Figure 8: MaxAlphaWithinCtx, 5 runs, precision 1/64) on the RETAIL
+// clone at τ = 0.01, propagation on. Each iteration searches a fresh
+// AlphaSearch, so the one propagation the search prepares is inside the
+// timing; building the search (grouping and graph) is not.
+func BenchmarkAlphaSearchRETAIL(b *testing.B) {
+	ft, bf := retailSetup(b)
+	crackBudget := 0.01 * float64(ft.NItems)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		s, err := recipe.NewAlphaSearch(ft, bf, 5, true, rand.New(rand.NewSource(int64(i))))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, err := s.MaxAlphaWithinCtx(ctx, crackBudget, 1.0/64); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSamplerSweepRETAIL times one targeted sweep (n proposals) of the
 // matching sampler on the RETAIL clone.
 func BenchmarkSamplerSweepRETAIL(b *testing.B) {

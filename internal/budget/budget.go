@@ -89,14 +89,25 @@ type Budget struct {
 }
 
 // New creates a Budget charging against ctx. See Config for the limits.
+//
+// New is small enough to inline, so a Budget that never leaves its caller's
+// frame lives on the caller's stack: budgeting a hot call, like one masked
+// O-estimate scan per α-search probe, allocates nothing.
 func New(ctx context.Context, cfg Config) *Budget {
-	if cfg.MaxOps <= 0 {
-		cfg.MaxOps = MaxOps(ctx)
+	b := &Budget{ctx: ctx, maxOps: cfg.MaxOps, checkEvery: cfg.CheckEvery}
+	b.applyDefaults()
+	return b
+}
+
+// applyDefaults resolves Config's zero values: the context's operation
+// limit and DefaultCheckEvery.
+func (b *Budget) applyDefaults() {
+	if b.maxOps <= 0 {
+		b.maxOps = MaxOps(b.ctx)
 	}
-	if cfg.CheckEvery <= 0 {
-		cfg.CheckEvery = DefaultCheckEvery
+	if b.checkEvery <= 0 {
+		b.checkEvery = DefaultCheckEvery
 	}
-	return &Budget{ctx: ctx, maxOps: cfg.MaxOps, checkEvery: cfg.CheckEvery}
 }
 
 // Charge records n operations and, once per CheckEvery charged operations,

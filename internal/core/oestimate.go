@@ -95,14 +95,16 @@ func OEstimateGraph(g *bipartite.Graph, opts OEOptions) (*OEResult, error) {
 }
 
 // OEstimateGraphCtx is OEstimateGraph under a work budget: one operation per
-// item scanned, charged one 64-item word at a time.
+// item scanned, charged one 64-item word at a time, plus one per item for
+// the propagation when Propagate is set.
 //
-// Both paths run as word-parallel kernels (DESIGN.md §16): the graph's
-// packed compliance words are ANDed with the option masks, the crackable
-// words fall out of the same AND, and only surviving bits are visited — in
-// ascending item order via TrailingZeros64, so the float accumulation order,
-// and therefore every bit of Value, matches the historical item-at-a-time
-// loop (pinned by TestOEstimateBitsetMatchesReference).
+// The estimate is the two steps of DESIGN.md §17 under one budget: the
+// mask-independent preparation of PrepareOEstimateCtx, then one
+// word-parallel scan (DESIGN.md §16) that ANDs the prepared crackable words
+// with the option masks and visits only surviving bits — in ascending item
+// order via TrailingZeros64, so the float accumulation order, and therefore
+// every bit of Value, matches the historical item-at-a-time loop (pinned by
+// TestOEstimateBitsetMatchesReference).
 func OEstimateGraphCtx(ctx context.Context, g *bipartite.Graph, opts OEOptions) (*OEResult, error) {
 	n := g.Items()
 	if err := checkMask("mask", opts.Mask, n); err != nil {
@@ -115,38 +117,16 @@ func OEstimateGraphCtx(ctx context.Context, g *bipartite.Graph, opts OEOptions) 
 	if err := bud.Check(); err != nil {
 		return nil, err
 	}
-	var maskW, intW []uint64
-	if !opts.Mask.IsZero() {
-		maskW = opts.Mask.Words()
-	}
-	if !opts.Interest.IsZero() {
-		intW = opts.Interest.Words()
-	}
-	res := &OEResult{Crackable: bitset.New(n)}
-
-	if !opts.Propagate {
-		res.Outdeg = g.Outdegrees()
-		value, err := oeScanWords(bud, n, g.ComplianceSet().Words(), maskW, intW,
-			res.Crackable.Words(), g.OutdegreeReciprocals())
-		if err != nil {
-			return nil, fmt.Errorf("core: O-estimate: %w", err)
-		}
-		res.Value = value
-		return res, nil
-	}
-
-	p, err := g.PropagateCtx(ctx)
+	p, err := prepareOE(ctx, bud, g, opts.Propagate)
 	if err != nil {
 		return nil, err
 	}
-	if err := bud.Charge(int64(n)); err != nil { // propagation visits every item at least once
-		return nil, fmt.Errorf("core: O-estimate propagation: %w", err)
+	res := &OEResult{Outdeg: p.outdeg, Crackable: bitset.New(n), Forced: p.forced, Rounds: p.rounds}
+	if !opts.Propagate {
+		res.Outdeg = g.Outdegrees()
 	}
-	res.Outdeg = p.Outdeg
-	res.Forced = len(p.Forced)
-	res.Rounds = p.Rounds
-	value, err := oePropagatedWords(bud, n, g.ComplianceSet().Words(), maskW, intW,
-		res.Crackable.Words(), p.Outdeg, p.Forced)
+	value, err := oeScanWords(bud, n, p.words, opts.Mask.Words(), opts.Interest.Words(),
+		res.Crackable.Words(), p.contrib)
 	if err != nil {
 		return nil, fmt.Errorf("core: O-estimate: %w", err)
 	}
@@ -154,12 +134,116 @@ func OEstimateGraphCtx(ctx context.Context, g *bipartite.Graph, opts OEOptions) 
 	return res, nil
 }
 
-// oeScanWords is the plain (non-propagated) O-estimate kernel: for every
-// 64-item word, crackable = compliant & mask, and the reciprocal outdegrees
-// of the counted (crackable & interest) bits are summed in ascending item
-// order. comp must have its tail bits clear, which bounds every derived word
-// by the domain; crack is overwritten. One operation per item is charged,
-// 64 at a time, keeping op totals comparable to the per-item loop.
+// OEPrepared is the mask-independent half of the O-estimate of one graph
+// (DESIGN.md §17): the words of the items crackable under a full mask and
+// each item's term of the sum. Neither Mask nor Interest changes the graph
+// the propagation runs on — masked items stay in the graph and only leave
+// the sum (Section 5.3) — so a caller that evaluates many masks over one
+// graph, like the recipe's α search, prepares once and scans per mask.
+//
+// Without propagation the prepared value reads the graph's compliance and
+// reciprocal vectors in place, so it describes the graph as prepared and
+// must be discarded once the graph is patched (bipartite.Graph.Rebin). It is
+// read-only after preparation and safe for concurrent scans.
+type OEPrepared struct {
+	n       int
+	words   []uint64  // crackable items under a full mask
+	contrib []float64 // per-item term of the sum: 1/O_x, read only where words has the bit
+	outdeg  []int     // post-propagation outdegrees (nil without propagation)
+	forced  int       // propagation-forced edges
+	rounds  int       // propagation rounds
+}
+
+// PrepareOEstimateCtx runs the mask-independent half of OEstimateGraphCtx
+// under a work budget: with propagate, the degree-1 propagation of Figure 7
+// (which can fail with bipartite.ErrInfeasible) and the packing of its
+// forced pairs into crackable words, charged as the propagation inside
+// OEstimateGraphCtx is. Each ValueCtx scan then runs on a budget of its own.
+func PrepareOEstimateCtx(ctx context.Context, g *bipartite.Graph, propagate bool) (*OEPrepared, error) {
+	bud := budget.New(ctx, budget.Config{CheckEvery: 4096})
+	if err := bud.Check(); err != nil {
+		return nil, err
+	}
+	return prepareOE(ctx, bud, g, propagate)
+}
+
+func prepareOE(ctx context.Context, bud *budget.Budget, g *bipartite.Graph, propagate bool) (*OEPrepared, error) {
+	n := g.Items()
+	if !propagate {
+		return &OEPrepared{n: n, words: g.ComplianceSet().Words(), contrib: g.OutdegreeReciprocals()}, nil
+	}
+	p, err := g.PropagateCtx(ctx)
+	if err != nil {
+		return nil, err
+	}
+	if err := bud.Charge(int64(n)); err != nil { // propagation visits every item at least once
+		return nil, fmt.Errorf("core: O-estimate propagation: %w", err)
+	}
+	return packPropagation(n, g.ComplianceSet().Words(), p), nil
+}
+
+// packPropagation folds a propagation into prepared words, 64 items per
+// word — the four-way switch of the historical per-item loop:
+//
+//	crackable = crackForced | comp &^ (forced | consumed)
+//
+// A crack-forced item (fp.Anon == fp.Item) is cracked in every consistent
+// mapping and counts +1; a compliant item that is neither forced nor has its
+// own anonymized twin consumed is still open and counts 1/O_x. Forced items
+// have O_x = 1, so one reciprocal vector serves both: 1/float64(1) is
+// exactly the +1 the old loop added, keeping every bit of the sum. Items
+// outside the words are never read, so their reciprocals (even of a zero
+// outdegree) do not matter.
+func packPropagation(n int, comp []uint64, p *bipartite.Propagation) *OEPrepared {
+	words := make([]uint64, len(comp))
+	blocked := make([]uint64, len(comp))
+	for _, fp := range p.Forced {
+		blocked[fp.Item>>6] |= 1 << uint(fp.Item&63)
+		blocked[fp.Anon>>6] |= 1 << uint(fp.Anon&63)
+		if fp.Anon == fp.Item {
+			words[fp.Item>>6] |= 1 << uint(fp.Item&63)
+		}
+	}
+	for k := range words {
+		words[k] |= comp[k] &^ blocked[k]
+	}
+	contrib := make([]float64, n)
+	for x, d := range p.Outdeg {
+		contrib[x] = 1 / float64(d)
+	}
+	return &OEPrepared{n: n, words: words, contrib: contrib, outdeg: p.Outdeg,
+		forced: len(p.Forced), rounds: p.Rounds}
+}
+
+// ValueCtx returns the prepared graph's O-estimate restricted to mask and
+// interest (zero sets restrict nothing, as in OEOptions): bit for bit the
+// Value OEstimateGraphCtx returns for the same graph and options, without
+// allocating. One operation per item is charged, one 64-item word at a time.
+func (p *OEPrepared) ValueCtx(ctx context.Context, mask, interest bitset.Set) (float64, error) {
+	if err := checkMask("mask", mask, p.n); err != nil {
+		return 0, err
+	}
+	if err := checkMask("interest mask", interest, p.n); err != nil {
+		return 0, err
+	}
+	bud := budget.New(ctx, budget.Config{CheckEvery: 4096})
+	if err := bud.Check(); err != nil {
+		return 0, err
+	}
+	value, err := oeScanWords(bud, p.n, p.words, mask.Words(), interest.Words(), nil, p.contrib)
+	if err != nil {
+		return 0, fmt.Errorf("core: O-estimate: %w", err)
+	}
+	return value, nil
+}
+
+// oeScanWords is the O-estimate kernel: for every 64-item word,
+// crackable = comp & mask, and the per-item terms inv of the counted
+// (crackable & interest) bits are summed in ascending item order. comp must
+// have its tail bits clear, which bounds every derived word by the domain.
+// crack, when non-nil, is overwritten with the crackable words. One
+// operation per item is charged, 64 at a time, keeping op totals comparable
+// to the per-item loop.
 func oeScanWords(bud *budget.Budget, n int, comp, maskW, intW, crack []uint64, inv []float64) (float64, error) {
 	value := 0.0
 	for k, w := range comp {
@@ -173,7 +257,9 @@ func oeScanWords(bud *budget.Budget, n int, comp, maskW, intW, crack []uint64, i
 		if maskW != nil {
 			w &= maskW[k]
 		}
-		crack[k] = w
+		if crack != nil {
+			crack[k] = w
+		}
 		if intW != nil {
 			w &= intW[k]
 		}
@@ -181,63 +267,6 @@ func oeScanWords(bud *budget.Budget, n int, comp, maskW, intW, crack []uint64, i
 		for w != 0 {
 			value += inv[base+bits.TrailingZeros64(w)]
 			w &= w - 1
-		}
-	}
-	return value, nil
-}
-
-// oePropagatedWords is the post-propagation O-estimate kernel. The forced
-// pairs are first packed into three word vectors — forced items, consumed
-// anonymized items, and crack-forced items (fp.Anon == fp.Item, a subset of
-// the forced items) — and then one pass classifies 64 items per word:
-//
-//	addOne = crackForced & mask            // cracked in every mapping: +1
-//	addInv = comp &^ (forced|consumed) & mask  // still open: +1/O_x
-//
-// exactly the four-way switch of the historical per-item loop. Both kinds
-// are crackable; only interest-counted bits contribute to the value, visited
-// in ascending item order so the mixed +1/+1/O_x accumulation keeps its
-// historical float ordering.
-func oePropagatedWords(bud *budget.Budget, n int, comp, maskW, intW, crack []uint64, outdeg []int, forcedPairs []bipartite.ForcedPair) (float64, error) {
-	nw := bitset.WordsFor(n)
-	forced := make([]uint64, nw)
-	consumed := make([]uint64, nw)
-	crackF := make([]uint64, nw)
-	for _, fp := range forcedPairs {
-		forced[fp.Item>>6] |= 1 << uint(fp.Item&63)
-		consumed[fp.Anon>>6] |= 1 << uint(fp.Anon&63)
-		if fp.Anon == fp.Item {
-			crackF[fp.Item>>6] |= 1 << uint(fp.Item&63)
-		}
-	}
-	value := 0.0
-	for k := 0; k < nw; k++ {
-		width := int64(n - k<<6)
-		if width > 64 {
-			width = 64
-		}
-		if err := bud.Charge(width); err != nil {
-			return 0, err
-		}
-		m := ^uint64(0)
-		if maskW != nil {
-			m = maskW[k]
-		}
-		addOne := crackF[k] & m
-		addInv := comp[k] &^ (forced[k] | consumed[k]) & m
-		crack[k] = addOne | addInv
-		if intW != nil {
-			addOne &= intW[k]
-			addInv &= intW[k]
-		}
-		base := k << 6
-		for u := addOne | addInv; u != 0; u &= u - 1 {
-			low := u & (^u + 1)
-			if addOne&low != 0 {
-				value++ // cracked in every consistent mapping
-			} else {
-				value += 1 / float64(outdeg[base+bits.TrailingZeros64(u)])
-			}
 		}
 	}
 	return value, nil

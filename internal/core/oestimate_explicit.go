@@ -24,7 +24,8 @@ func OEstimateExplicit(e *bipartite.Explicit, opts OEOptions) (*OEResult, error)
 // own charges. The summation runs on the same word-parallel kernels as the
 // interval-structured path; only the compliance words (here the adjacency
 // diagonal) and the reciprocals (computed from the scanned indegrees) are
-// sourced differently.
+// sourced differently, and propagation is packed by the same
+// packPropagation as PrepareOEstimateCtx.
 func OEstimateExplicitCtx(ctx context.Context, e *bipartite.Explicit, opts OEOptions) (*OEResult, error) {
 	n := e.N
 	if err := checkMask("mask", opts.Mask, n); err != nil {
@@ -37,13 +38,7 @@ func OEstimateExplicitCtx(ctx context.Context, e *bipartite.Explicit, opts OEOpt
 	if err := bud.Check(); err != nil {
 		return nil, err
 	}
-	var maskW, intW []uint64
-	if !opts.Mask.IsZero() {
-		maskW = opts.Mask.Words()
-	}
-	if !opts.Interest.IsZero() {
-		intW = opts.Interest.Words()
-	}
+	maskW, intW := opts.Mask.Words(), opts.Interest.Words()
 	res := &OEResult{Crackable: bitset.New(n)}
 
 	indeg := make([]int, n)
@@ -89,10 +84,11 @@ func OEstimateExplicitCtx(ctx context.Context, e *bipartite.Explicit, opts OEOpt
 	if err != nil {
 		return nil, err
 	}
-	res.Outdeg = p.Outdeg
-	res.Forced = len(p.Forced)
-	res.Rounds = p.Rounds
-	value, err := oePropagatedWords(bud, n, diagW, maskW, intW, res.Crackable.Words(), p.Outdeg, p.Forced)
+	prep := packPropagation(n, diagW, p)
+	res.Outdeg = prep.outdeg
+	res.Forced = prep.forced
+	res.Rounds = prep.rounds
+	value, err := oeScanWords(bud, n, prep.words, maskW, intW, res.Crackable.Words(), prep.contrib)
 	if err != nil {
 		return nil, fmt.Errorf("core: explicit O-estimate: %w", err)
 	}

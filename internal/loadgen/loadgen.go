@@ -192,13 +192,13 @@ func buildPlan(mix string, seed int64, requests int) ([]planned, error) {
 			}})
 		}
 	case MixDegraded:
-		// Distinct large releases under a tight budget: the recipe cannot
-		// finish its preferred tiers in 5ms at this size, so responses come
+		// Distinct large releases under a tight budget: the recipe needs a
+		// few ms at this size, so the 1ms budget expires and responses come
 		// back degraded (or 503-throttled when even the floor cannot run).
 		for i := 0; i < requests; i++ {
 			st := newStream(tag, uint64(seed), uint64(i))
 			ds := smallDataset(st, 2500)
-			plan = append(plan, planned{Assess: &server.AssessRequest{Dataset: ds, TimeoutMS: 5}})
+			plan = append(plan, planned{Assess: &server.AssessRequest{Dataset: ds, TimeoutMS: 1}})
 		}
 	default:
 		return nil, fmt.Errorf("loadgen: unknown mix %q (want one of %v)", mix, Mixes)

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/belief"
@@ -144,29 +145,27 @@ func AssessRiskCtx(ctx context.Context, ft *dataset.FrequencyTable, opts Options
 		return nil, err
 	}
 	gr := dataset.GroupItems(ft)
-	// The δ_med belief function and its consistency graph are built once,
-	// lazily, and shared between the step-6 O-estimate and the step-8 α
-	// search — Build is deterministic, so reusing the graph is bit-identical
-	// to the historical rebuild-per-evaluation and removes the dominant
-	// per-evaluation cost of the binary search.
+	// The δ_med consistency graph and its prepared O-estimate are built
+	// once, lazily, and shared between the step-6 O-estimate and the step-8
+	// α search: no mask can change the propagation (DESIGN.md §17), so
+	// every probe is one masked scan of the step-6 preparation.
 	var (
-		bf *belief.Function
-		g  *bipartite.Graph
+		g    *bipartite.Graph
+		prep *core.OEPrepared
 	)
 	oeFull := func(ctx context.Context) (float64, error) {
-		bf = belief.UniformWidth(ft.Frequencies(), gr.MedianGap())
+		bf := belief.UniformWidth(ft.Frequencies(), gr.MedianGap())
 		var err error
 		if g, err = bipartite.Build(bf, gr); err != nil {
 			return 0, err
 		}
-		oe, err := core.OEstimateGraphCtx(ctx, g, core.OEOptions{Propagate: opts.Propagate})
-		if err != nil {
+		if prep, err = core.PrepareOEstimateCtx(ctx, g, opts.Propagate); err != nil {
 			return 0, err
 		}
-		return oe.Value, nil
+		return prep.ValueCtx(ctx, bitset.Set{}, bitset.Set{})
 	}
 	search := func(context.Context) (*AlphaSearch, error) {
-		return newAlphaSearchGraph(ft, g, opts.Runs, opts.Propagate, false, opts.Rng)
+		return newAlphaSearchGraph(ft, g, prep, opts.Runs, opts.Propagate, false, opts.Rng)
 	}
 	return assessStaged(ctx, ft.NItems, opts, gr, oeFull, search)
 }
@@ -219,9 +218,9 @@ func assessStaged(ctx context.Context, n int, opts Options, gr *dataset.Grouping
 	}
 
 	// Steps 8-9: binary search for α_max. Each run r holds a fixed random
-	// item order; the compliant set at level α is the order's first ⌈αn⌉
-	// items, so the sets are nested across α exactly as Lemma 10's
-	// monotonicity requires (Section 6.2).
+	// item order; the compliant set at level α is the order's first
+	// int(αn + 0.5) items (αn rounded half up), so the sets are nested
+	// across α exactly as Lemma 10's monotonicity requires (Section 6.2).
 	s, err := search(ctx)
 	if err != nil {
 		return nil, err
@@ -240,12 +239,15 @@ func assessStaged(ctx context.Context, n int, opts Options, gr *dataset.Grouping
 
 // AlphaSearch evaluates averaged α-compliant O-estimates over nested
 // compliant subsets, supporting both the recipe's binary search and the α
-// sweep of Figure 11.
+// sweep of Figure 11. It is safe for concurrent use.
 type AlphaSearch struct {
 	ft        *dataset.FrequencyTable
 	g         *bipartite.Graph // δ_med consistency graph, shared by all evaluations
-	orders    [][]int          // one item order per run; level α keeps the first ⌈αn⌉
+	orders    [][]int          // one item order per run; level α keeps the first int(αn + 0.5)
 	propagate bool
+
+	mu   sync.Mutex
+	prep *core.OEPrepared // g's prepared O-estimate; nil until a preparation succeeds
 }
 
 // NewAlphaSearch prepares `runs` independent uniformly random item orders
@@ -275,23 +277,25 @@ func newAlphaSearch(ft *dataset.FrequencyTable, bf *belief.Function, runs int, p
 	if err != nil {
 		return nil, err
 	}
-	return newAlphaSearchGraph(ft, g, runs, propagate, biased, rng)
+	return newAlphaSearchGraph(ft, g, nil, runs, propagate, biased, rng)
 }
 
 // newAlphaSearchGraph builds the search over a prebuilt consistency graph —
 // the graph the caller computed for the step-6 O-estimate, or the patched
-// graph a DeltaSession maintains. Every evaluation reads the graph instead
-// of rebuilding grouping and graph per (α, run) pair; since Build is a pure
-// function of (belief, grouping), the values are bit-identical to the
-// rebuild-per-evaluation path.
-func newAlphaSearchGraph(ft *dataset.FrequencyTable, g *bipartite.Graph, runs int, propagate, biased bool, rng *rand.Rand) (*AlphaSearch, error) {
+// graph a DeltaSession maintains — and, when the caller has it, the graph's
+// prepared O-estimate (nil prepares on the first evaluation). Every
+// evaluation scans that one preparation instead of rebuilding grouping and
+// graph and re-running propagation per (α, run) pair; since Build and the
+// preparation are pure functions of (belief, grouping), the values are
+// bit-identical to the rebuild-per-evaluation path.
+func newAlphaSearchGraph(ft *dataset.FrequencyTable, g *bipartite.Graph, prep *core.OEPrepared, runs int, propagate, biased bool, rng *rand.Rand) (*AlphaSearch, error) {
 	if g.Items() != ft.NItems {
 		return nil, fmt.Errorf("recipe: graph domain %d != table domain %d", g.Items(), ft.NItems)
 	}
 	if runs <= 0 {
 		runs = 5
 	}
-	s := &AlphaSearch{ft: ft, g: g, propagate: propagate}
+	s := &AlphaSearch{ft: ft, g: g, propagate: propagate, prep: prep}
 	n := ft.NItems
 	var contrib []float64
 	if biased {
@@ -331,29 +335,55 @@ func newAlphaSearchGraph(ft *dataset.FrequencyTable, g *bipartite.Graph, runs in
 }
 
 // OEAt returns the mean O-estimate across runs at compliancy level α: in each
-// run only the first ⌈αn⌉ items of the run's order count as compliant.
+// run only the first int(αn + 0.5) items of the run's order (αn rounded half
+// up) count as compliant.
 func (s *AlphaSearch) OEAt(alpha float64) (float64, error) {
 	return s.OEAtCtx(context.Background(), alpha)
 }
 
-// OEAtCtx is OEAt under a work budget: each of the runs' O-estimates checks
-// the context's deadline and operation limit. The runs evaluate on the
-// parallel worker pool, each worker reusing one lazily-built mask buffer
+// OEAtCtx is OEAt under a work budget: each of the runs' O-estimate scans
+// checks the context's deadline and operation limit. The runs evaluate on
+// the parallel worker pool, each worker reusing one lazily-built mask buffer
 // across its items; the per-run values are reduced in run order, so the mean
 // is bit-identical at any worker count.
 func (s *AlphaSearch) OEAtCtx(ctx context.Context, alpha float64) (float64, error) {
 	if alpha < 0 || alpha > 1 {
 		return 0, fmt.Errorf("recipe: alpha %v outside [0,1]", alpha)
 	}
-	runs := len(s.orders)
-	workers := parallel.PoolWorkers(ctx, 0, runs)
-	masks := make([]bitset.Set, workers)
-	vals := make([]float64, runs)
-	err := parallel.ForEachWorker(ctx, workers, runs, func(w, r int) error {
+	p, err := s.prepared(ctx)
+	if err != nil {
+		return 0, err
+	}
+	return s.oeAt(ctx, p, alpha, make([]bitset.Set, parallel.PoolWorkers(ctx, 0, len(s.orders))))
+}
+
+// prepared returns the search's prepared O-estimate, preparing it under ctx
+// on first use. Only a success is kept: a first caller whose budget ran out
+// or whose context was canceled leaves the search unprepared, and the next
+// call prepares again under its own context.
+func (s *AlphaSearch) prepared(ctx context.Context) (*core.OEPrepared, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.prep == nil {
+		p, err := core.PrepareOEstimateCtx(ctx, s.g, s.propagate)
+		if err != nil {
+			return nil, err
+		}
+		s.prep = p
+	}
+	return s.prep, nil
+}
+
+// oeAt is OEAtCtx on the prepared estimate p with caller-owned per-worker
+// mask scratch: one slot per worker, built lazily and returned zeroed, so a
+// binary search reuses its buffers across probes.
+func (s *AlphaSearch) oeAt(ctx context.Context, p *core.OEPrepared, alpha float64, masks []bitset.Set) (float64, error) {
+	vals := make([]float64, len(s.orders))
+	err := parallel.ForEachWorker(ctx, len(masks), len(s.orders), func(w, r int) error {
 		if masks[w].IsZero() {
 			masks[w] = bitset.New(s.ft.NItems)
 		}
-		v, err := s.oeOne(ctx, alpha, s.orders[r], masks[w])
+		v, err := s.oeOne(ctx, p, alpha, s.orders[r], masks[w])
 		if err != nil {
 			return err
 		}
@@ -371,25 +401,24 @@ func (s *AlphaSearch) OEAtCtx(ctx context.Context, alpha float64) (float64, erro
 }
 
 // oeOne evaluates the O-estimate of a single run's compliant subset at level
-// alpha. It is the independent work item of the package's parallel sweeps:
-// pure in (alpha, order) given the search's read-only tables. The caller
-// supplies mask — a zeroed n-length scratch buffer reused across the items of
-// one worker — and gets it back zeroed, whether or not the estimate errored.
-// Which worker's buffer arrives here can never change the value: the mask is
-// fully determined by (alpha, order) before the estimate reads it.
-func (s *AlphaSearch) oeOne(ctx context.Context, alpha float64, order []int, mask bitset.Set) (float64, error) {
+// alpha: the first int(αn + 0.5) items of order. It is the independent work
+// item of the package's parallel sweeps: pure in (alpha, order) given the
+// search's read-only tables and the prepared estimate p, which it scans
+// once. The caller supplies mask — a zeroed n-length scratch buffer reused
+// across the items of one worker — and gets it back zeroed, whether or not
+// the estimate errored. Which worker's buffer arrives here can never change
+// the value: the mask is fully determined by (alpha, order) before the scan
+// reads it.
+func (s *AlphaSearch) oeOne(ctx context.Context, p *core.OEPrepared, alpha float64, order []int, mask bitset.Set) (float64, error) {
 	k := int(alpha*float64(s.ft.NItems) + 0.5)
 	for _, x := range order[:k] {
 		mask.Add(x)
 	}
-	oe, err := core.OEstimateGraphCtx(ctx, s.g, core.OEOptions{Mask: mask, Propagate: s.propagate})
+	v, err := p.ValueCtx(ctx, mask, bitset.Set{})
 	for _, x := range order[:k] {
 		mask.Remove(x)
 	}
-	if err != nil {
-		return 0, err
-	}
-	return oe.Value, nil
+	return v, err
 }
 
 // MaxAlphaWithin binary-searches the largest α whose averaged O-estimate is
@@ -405,14 +434,21 @@ func (s *AlphaSearch) MaxAlphaWithin(crackBudget, precision float64) (float64, e
 // iterations. On exhaustion it returns the best PROVEN α so far — the lower
 // bound of the bracketing invariant, safe because OEAt is monotone in α —
 // together with the budget error, so callers can keep the conservative
-// partial answer while recording the degradation.
+// partial answer while recording the degradation. The propagation runs at
+// most once per search (DESIGN.md §17) and every probe reuses the same
+// per-worker mask buffers.
 func (s *AlphaSearch) MaxAlphaWithinCtx(ctx context.Context, crackBudget, precision float64) (float64, error) {
 	bud := budget.New(ctx, budget.Config{CheckEvery: 1})
 	evalCost := int64(len(s.orders)) * int64(s.ft.NItems)
 	if err := bud.Check(); err != nil {
 		return 0, err
 	}
-	hiVal, err := s.OEAtCtx(ctx, 1)
+	p, err := s.prepared(ctx)
+	if err != nil {
+		return 0, err
+	}
+	masks := make([]bitset.Set, parallel.PoolWorkers(ctx, 0, len(s.orders)))
+	hiVal, err := s.oeAt(ctx, p, 1, masks)
 	if err != nil {
 		return 0, err
 	}
@@ -425,7 +461,7 @@ func (s *AlphaSearch) MaxAlphaWithinCtx(ctx context.Context, crackBudget, precis
 	}
 	for hi-lo > precision {
 		mid := (lo + hi) / 2
-		v, err := s.OEAtCtx(ctx, mid)
+		v, err := s.oeAt(ctx, p, mid, masks)
 		if err != nil {
 			if budget.Degradable(err) {
 				return lo, fmt.Errorf("recipe: alpha search: %w", err)
@@ -463,16 +499,20 @@ func (s *AlphaSearch) CurveCtx(ctx context.Context, alphas []float64) ([]float64
 			return nil, fmt.Errorf("recipe: alpha %v outside [0,1]", a)
 		}
 	}
+	p, err := s.prepared(ctx)
+	if err != nil {
+		return nil, err
+	}
 	runs := len(s.orders)
 	grid := len(alphas) * runs
 	workers := parallel.PoolWorkers(ctx, 0, grid)
 	masks := make([]bitset.Set, workers)
 	vals := make([]float64, grid)
-	err := parallel.ForEachWorker(ctx, workers, grid, func(w, k int) error {
+	err = parallel.ForEachWorker(ctx, workers, grid, func(w, k int) error {
 		if masks[w].IsZero() {
 			masks[w] = bitset.New(s.ft.NItems)
 		}
-		v, err := s.oeOne(ctx, alphas[k/runs], s.orders[k%runs], masks[w])
+		v, err := s.oeOne(ctx, p, alphas[k/runs], s.orders[k%runs], masks[w])
 		if err != nil {
 			return err
 		}

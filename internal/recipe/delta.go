@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/belief"
 	"repro/internal/bipartite"
+	"repro/internal/bitset"
 	"repro/internal/core"
 	"repro/internal/dataset"
 )
@@ -151,13 +152,17 @@ func (s *DeltaSession) AssessCtx(ctx context.Context) (*Result, error) {
 	if s.broken {
 		return nil, ErrSessionBroken
 	}
+	// With propagation the step-6 preparation of the patched graph is
+	// handed to the α search, as AssessRiskCtx does; without it the search
+	// prepares its own (the graph's vectors in place, no propagation).
+	var prep *core.OEPrepared
 	oeFull := func(ctx context.Context) (float64, error) {
 		if s.oe == nil { // propagation has no restricted form; full pass on the patched graph
-			oe, err := core.OEstimateGraphCtx(ctx, s.g, core.OEOptions{Propagate: true})
-			if err != nil {
+			var err error
+			if prep, err = core.PrepareOEstimateCtx(ctx, s.g, true); err != nil {
 				return 0, err
 			}
-			return oe.Value, nil
+			return prep.ValueCtx(ctx, bitset.Set{}, bitset.Set{})
 		}
 		oe, err := s.oe.RefreshCtx(ctx, s.dirty)
 		if err != nil {
@@ -169,7 +174,7 @@ func (s *DeltaSession) AssessCtx(ctx context.Context) (*Result, error) {
 		return oe.Value, nil
 	}
 	search := func(context.Context) (*AlphaSearch, error) {
-		return &AlphaSearch{ft: s.ft, g: s.g, orders: s.orders, propagate: s.opts.Propagate}, nil
+		return &AlphaSearch{ft: s.ft, g: s.g, orders: s.orders, propagate: s.opts.Propagate, prep: prep}, nil
 	}
 	res, err := assessStaged(ctx, s.ft.NItems, s.opts, s.gr, oeFull, search)
 	if err != nil {

@@ -107,9 +107,11 @@ func TestSingleFlightDedup(t *testing.T) {
 			vals[i], srcs[i] = v, src
 		}(i)
 	}
-	// Wait until one leader is in flight, then let everyone through.
+	// Wait until one leader is in flight and every other caller has joined
+	// it, then let everyone through: a caller arriving after the release
+	// would find the stored value and count as a hit.
 	deadline := time.After(5 * time.Second)
-	for computes.Load() == 0 {
+	for computes.Load() == 0 || c.Stats().Coalesced < waiters-1 {
 		select {
 		case <-deadline:
 			t.Fatal("no leader started")
