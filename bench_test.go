@@ -79,7 +79,7 @@ func BenchmarkOEstimateRETAIL(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.OEstimate(bf, ft, core.OEOptions{}); err != nil {
+		if _, err := core.OEstimateCtx(context.Background(), bf, ft, core.OEOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -95,7 +95,7 @@ func BenchmarkPropagationRETAIL(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := g.Propagate(); err != nil {
+		if _, err := g.PropagateCtx(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -133,7 +133,7 @@ func BenchmarkSamplerSweepRETAIL(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s, err := matching.NewSampler(g, rand.New(rand.NewSource(2)))
+	s, err := matching.NewSampler(context.Background(), g, rand.New(rand.NewSource(2)))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func BenchmarkAssessRiskCHESS(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := recipe.AssessRisk(ft, recipe.Options{Tolerance: 0.1, Propagate: true, Rng: rng}); err != nil {
+		if _, err := recipe.AssessRiskCtx(context.Background(), ft, recipe.Options{Tolerance: 0.1, Propagate: true, Rng: rng}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -168,7 +168,7 @@ func BenchmarkDirectMethod(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.ExactExpectedCracks(e); err != nil {
+		if _, err := core.ExactExpectedCracksCtx(context.Background(), e); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -320,7 +320,7 @@ func BenchmarkOEstimateScaling(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.OEstimate(bf, ft, core.OEOptions{Propagate: true}); err != nil {
+				if _, err := core.OEstimateCtx(context.Background(), bf, ft, core.OEOptions{Propagate: true}); err != nil {
 					b.Fatal(err)
 				}
 			}

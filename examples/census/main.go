@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -22,6 +23,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(17))
 	schema := relation.Schema{Attrs: []relation.Attribute{
 		{Name: "age", Values: []string{"20-25", "25-30", "30-35", "35-40", "40-45"}, Ordered: true},
@@ -51,7 +53,7 @@ func main() {
 	must(mary.Range(schema, "age", "30-35", "35-40"))
 	info := relation.PartialInfo{0: john, 1: mary} // Bob: absent = no knowledge
 
-	rep, err := relation.AssessDisclosure(pop, info, false)
+	rep, err := relation.AssessDisclosureCtx(ctx, pop, info, false)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -74,7 +76,7 @@ func main() {
 			must(k.Exact(schema, attr.Name, attr.Values[pop.Value(x, ai)]))
 			info[x] = k
 		}
-		rep, err := relation.AssessDisclosure(pop, info, false)
+		rep, err := relation.AssessDisclosureCtx(ctx, pop, info, false)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -50,7 +51,7 @@ func main() {
 
 	// Step 2 — similarity by sampling (Figure 13): if a p-fraction of the
 	// records leaks, how compliant is the belief function built from it?
-	points, err := recipe.SimilarityBySampling(db,
+	points, err := recipe.SimilarityBySampling(context.Background(), db,
 		[]float64{0.01, 0.05, 0.1, 0.25, 0.5}, 10, recipe.UseMedianGap, rng)
 	if err != nil {
 		log.Fatal(err)

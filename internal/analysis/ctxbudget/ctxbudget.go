@@ -1,31 +1,26 @@
 // Package ctxbudget enforces the repo's budget-threading convention
 // (DESIGN.md §10.1): expensive entry points must be cancelable.
 //
-// Three rules, selected by the package's role:
-//
-// Provider packages (the compute kernels: bipartite, matching, core,
-// recipe, relation, itemsetrisk):
+// Two rules apply to the provider packages (the compute kernels:
+// bipartite, matching, core, recipe, relation, itemsetrisk):
 //
 //  1. An exported function or method whose body contains a loop nest of
 //     depth ≥ 2 — the mechanical signature of "iterates over the dataset or
-//     graph, possibly superlinearly" — must either accept a
-//     context.Context or have a sibling named <Name>Ctx that does.
+//     graph, possibly superlinearly" — must accept a context.Context.
 //  2. context.Background()/context.TODO() may not originate inside a
 //     provider: a kernel that invents its own context cannot be canceled
-//     by its caller. The one blessed pattern is the compatibility wrapper
-//     `func F(...)` forwarding to `FCtx(context.Background(), ...)`.
+//     by its caller. This also rules out the convenience twin
+//     `F` → `FCtx(context.Background(), ...)`; such wrappers live only in
+//     the public facade (anonrisk.go).
 //
-// Consumer packages (the serving layer: internal/server, cmd/riskd):
-//
-//  3. Calling a provider function F when a sibling FCtx exists forfeits the
-//     request's deadline and work budget mid-call; the Ctx variant must be
-//     used.
+// Every heavy provider kernel thus has exactly one, cancelable spelling, and
+// no caller — serving layer or otherwise — can reach it without handing it
+// a context.
 package ctxbudget
 
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 
 	"repro/internal/analysis"
 )
@@ -39,59 +34,43 @@ const (
 	// RoleProvider applies rules 1 and 2 (exported loopers need ctx;
 	// contexts may not originate here).
 	RoleProvider
-	// RoleConsumer applies rule 3 (never call F where FCtx exists).
-	RoleConsumer
 )
 
-// Providers and Consumers hold the import paths each role applies to.
-// cmd/riskvet wires the real repo layout; tests substitute fixtures.
-var (
-	Providers = map[string]bool{
-		"repro/internal/bipartite":   true,
-		"repro/internal/matching":    true,
-		"repro/internal/core":        true,
-		"repro/internal/recipe":      true,
-		"repro/internal/relation":    true,
-		"repro/internal/itemsetrisk": true,
-	}
-	Consumers = map[string]bool{
-		"repro/internal/server": true,
-		"repro/cmd/riskd":       true,
-	}
-)
+// Providers holds the import paths the rules apply to. cmd/riskvet wires
+// the real repo layout; tests substitute fixtures.
+var Providers = map[string]bool{
+	"repro/internal/bipartite":   true,
+	"repro/internal/matching":    true,
+	"repro/internal/core":        true,
+	"repro/internal/recipe":      true,
+	"repro/internal/relation":    true,
+	"repro/internal/itemsetrisk": true,
+}
 
 // RoleOf reports the role of an import path.
 func RoleOf(path string) Role {
-	switch {
-	case Providers[path]:
+	if Providers[path] {
 		return RoleProvider
-	case Consumers[path]:
-		return RoleConsumer
-	default:
-		return RoleNone
 	}
+	return RoleNone
 }
 
 // Analyzer is the ctxbudget check.
 var Analyzer = &analysis.Analyzer{
 	Name: "ctxbudget",
-	Doc: "exported compute kernels with nested loops must accept a context.Context " +
-		"(or have a ...Ctx sibling), kernels must not originate contexts, and the " +
-		"serving layer must call the Ctx variant when one exists",
+	Doc: "exported compute kernels with nested loops must accept a context.Context, " +
+		"and kernels must not originate contexts",
 	Run: run,
 }
 
 func run(pass *analysis.Pass) error {
-	switch RoleOf(pass.Pkg.Path()) {
-	case RoleProvider:
+	if RoleOf(pass.Pkg.Path()) == RoleProvider {
 		checkProvider(pass)
-	case RoleConsumer:
-		checkConsumer(pass)
 	}
 	return nil
 }
 
-// --- rule 1: exported loopers need a context or a Ctx sibling ---
+// --- rule 1: exported loopers need a context ---
 
 func checkProvider(pass *analysis.Pass) {
 	for _, f := range pass.Files {
@@ -100,18 +79,12 @@ func checkProvider(pass *analysis.Pass) {
 			if !ok || fn.Body == nil || !fn.Name.IsExported() {
 				continue
 			}
-			if strings.HasSuffix(fn.Name.Name, "Ctx") || hasContextParam(pass, fn) {
-				continue
-			}
-			if maxLoopDepth(fn.Body) < 2 {
-				continue
-			}
-			if hasCtxSibling(pass, fn) {
+			if hasContextParam(pass, fn) || maxLoopDepth(fn.Body) < 2 {
 				continue
 			}
 			pass.Reportf(fn.Name.Pos(),
-				"exported %s loops over its input (nest depth ≥ 2) but neither accepts a context.Context nor has a %sCtx sibling; heavy work must be budgetable",
-				fn.Name.Name, fn.Name.Name)
+				"exported %s loops over its input (nest depth ≥ 2) but does not accept a context.Context; heavy work must be budgetable",
+				fn.Name.Name)
 		}
 		checkNoContextOrigin(pass, f)
 	}
@@ -137,31 +110,6 @@ func isContextType(t types.Type) bool {
 	}
 	obj := named.Obj()
 	return obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
-}
-
-// hasCtxSibling reports whether Name+"Ctx" exists: as a package-level
-// function for functions, or as a method on the same receiver type for
-// methods.
-func hasCtxSibling(pass *analysis.Pass, fn *ast.FuncDecl) bool {
-	want := fn.Name.Name + "Ctx"
-	if fn.Recv == nil {
-		return pass.Pkg.Scope().Lookup(want) != nil
-	}
-	if len(fn.Recv.List) == 0 {
-		return false
-	}
-	tv, ok := pass.TypesInfo.Types[fn.Recv.List[0].Type]
-	if !ok {
-		return false
-	}
-	recv := tv.Type
-	ms := types.NewMethodSet(recv)
-	for i := 0; i < ms.Len(); i++ {
-		if ms.At(i).Obj().Name() == want {
-			return true
-		}
-	}
-	return false
 }
 
 // maxLoopDepth computes the deepest for/range nesting in a body. Function
@@ -206,68 +154,16 @@ func checkNoContextOrigin(pass *analysis.Pass, f *ast.File) {
 			if !ok {
 				return true
 			}
-			// Blessed wrapper: F forwarding to FCtx(context.Background(), ...).
-			if calleeName(pass, call) == fn.Name.Name+"Ctx" {
-				return false // don't descend into the forwarded arguments
-			}
 			if fnObj := callTarget(pass, call); fnObj != nil &&
 				fnObj.Pkg() != nil && fnObj.Pkg().Path() == "context" &&
 				(fnObj.Name() == "Background" || fnObj.Name() == "TODO") {
 				pass.Reportf(call.Pos(),
-					"context.%s originates inside a compute kernel; accept a context.Context from the caller (only the <F> → <F>Ctx compatibility wrapper may use it)",
+					"context.%s originates inside a compute kernel; accept a context.Context from the caller",
 					fnObj.Name())
 			}
 			return true
 		})
 	}
-}
-
-// --- rule 3: consumers must prefer the Ctx variant ---
-
-func checkConsumer(pass *analysis.Pass) {
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			obj := callTarget(pass, call)
-			if obj == nil || obj.Pkg() == nil || RoleOf(obj.Pkg().Path()) != RoleProvider {
-				return true
-			}
-			name := obj.Name()
-			if strings.HasSuffix(name, "Ctx") {
-				return true
-			}
-			if ctxSiblingOf(pass, call, obj) {
-				pass.Reportf(call.Pos(),
-					"%s.%s has a %sCtx variant; the serving layer must pass its request context so the call honors the deadline and work budget",
-					obj.Pkg().Name(), name, name)
-			}
-			return true
-		})
-	}
-}
-
-// ctxSiblingOf reports whether the called provider function has a Ctx
-// sibling: same package scope for plain functions, same receiver method set
-// for methods.
-func ctxSiblingOf(pass *analysis.Pass, call *ast.CallExpr, obj *types.Func) bool {
-	want := obj.Name() + "Ctx"
-	sig, ok := obj.Type().(*types.Signature)
-	if !ok {
-		return false
-	}
-	if recv := sig.Recv(); recv != nil {
-		ms := types.NewMethodSet(recv.Type())
-		for i := 0; i < ms.Len(); i++ {
-			if ms.At(i).Obj().Name() == want {
-				return true
-			}
-		}
-		return false
-	}
-	return obj.Pkg().Scope().Lookup(want) != nil
 }
 
 // callTarget resolves the *types.Func a call invokes, or nil for calls of
@@ -284,11 +180,4 @@ func callTarget(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
 		}
 	}
 	return nil
-}
-
-func calleeName(pass *analysis.Pass, call *ast.CallExpr) string {
-	if f := callTarget(pass, call); f != nil {
-		return f.Name()
-	}
-	return ""
 }

@@ -173,17 +173,11 @@ func RandomExplicit(n int, p float64, rng *rand.Rand) *Explicit {
 	return e
 }
 
-// MaximumMatching computes a maximum matching via the Hopcroft–Karp
+// MaximumMatchingCtx computes a maximum matching via the Hopcroft–Karp
 // algorithm, returning (size, matchL, matchR) where matchL[w] is the item
-// matched to anonymized item w (or -1) and matchR[x] the reverse.
-func (e *Explicit) MaximumMatching() (int, []int, []int) {
-	size, matchL, matchR, _ := e.MaximumMatchingCtx(context.Background())
-	return size, matchL, matchR
-}
-
-// MaximumMatchingCtx is MaximumMatching under a work budget, charging one
-// phase's worth of edge scans per Hopcroft–Karp phase (there are at most
-// O(√n) of them, but each touches every edge).
+// matched to anonymized item w (or -1) and matchR[x] the reverse. The work
+// budget is charged one phase's worth of edge scans per Hopcroft–Karp phase
+// (there are at most O(√n) of them, but each touches every edge).
 func (e *Explicit) MaximumMatchingCtx(ctx context.Context) (int, []int, []int, error) {
 	const inf = int(^uint(0) >> 1)
 	bud := budget.New(ctx, budget.Config{})
@@ -252,10 +246,4 @@ func (e *Explicit) MaximumMatchingCtx(ctx context.Context) (int, []int, []int, e
 		}
 	}
 	return size, matchL, matchR, nil
-}
-
-// HasPerfectMatching reports whether a perfect matching exists.
-func (e *Explicit) HasPerfectMatching() bool {
-	size, _, _ := e.MaximumMatching()
-	return size == e.N
 }

@@ -26,7 +26,7 @@ func (h *itemHeap) Pop() interface{} {
 	return v
 }
 
-// PerfectMatching returns a consistent perfect matching as a slice mapping
+// PerfectMatchingCtx returns a consistent perfect matching as a slice mapping
 // each item x to the anonymized item assigned to it, or ErrInfeasible when
 // none exists. Because every item's candidates form a contiguous range of
 // frequency groups, the classic earliest-deadline greedy is exact here:
@@ -36,13 +36,10 @@ func (h *itemHeap) Pop() interface{} {
 // The matching produced is deterministic; use it as a seed for the MCMC
 // sampler when the identity matching is inconsistent (α < 1 belief
 // functions).
-func (g *Graph) PerfectMatching() ([]int, error) {
-	return g.PerfectMatchingCtx(context.Background())
-}
-
-// PerfectMatchingCtx is PerfectMatching under a work budget: one operation
-// per heap push/pop, so the O(n log n) greedy respects deadlines when n is
-// web-scale even though it never does superlinear work.
+//
+// The work budget is one operation per heap push/pop, so the O(n log n) greedy
+// respects deadlines when n is web-scale even though it never does superlinear
+// work.
 func (g *Graph) PerfectMatchingCtx(ctx context.Context) ([]int, error) {
 	n := g.Items()
 	k := g.NumGroups()
@@ -92,12 +89,6 @@ func (g *Graph) PerfectMatchingCtx(ctx context.Context) ([]int, error) {
 		return nil, ErrInfeasible
 	}
 	return match, nil
-}
-
-// Feasible reports whether a consistent perfect matching exists.
-func (g *Graph) Feasible() bool {
-	_, err := g.PerfectMatching()
-	return err == nil
 }
 
 // IdentityMatching returns the matching that maps every anonymized item to

@@ -1,6 +1,7 @@
 package bipartite
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sort"
@@ -37,6 +38,16 @@ func buildGraph(t testing.TB, bf *belief.Function, ft *dataset.FrequencyTable) *
 		t.Fatalf("Build: %v", err)
 	}
 	return g
+}
+
+// hasPerfectMatching reports whether Hopcroft–Karp matches every vertex.
+func hasPerfectMatching(t testing.TB, e *Explicit) bool {
+	t.Helper()
+	size, _, _, err := e.MaximumMatchingCtx(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return size == e.N
 }
 
 func TestBuildBigMartH(t *testing.T) {
@@ -128,10 +139,10 @@ func TestNonCompliantEmptyRange(t *testing.T) {
 	if g.Compliant(0) {
 		t.Error("item 0 should be non-compliant")
 	}
-	if g.Feasible() {
+	if _, err := g.PerfectMatchingCtx(context.Background()); err == nil {
 		t.Error("graph with a degree-0 item cannot have a perfect matching")
 	}
-	if _, err := g.Propagate(); err != ErrInfeasible {
+	if _, err := g.PropagateCtx(context.Background()); err != ErrInfeasible {
 		t.Errorf("Propagate = %v, want ErrInfeasible", err)
 	}
 }
@@ -338,8 +349,8 @@ func TestPerfectMatchingGreedyAgainstHopcroftKarp(t *testing.T) {
 			ivs[i] = belief.Interval{Lo: a, Hi: b}
 		}
 		g := buildGraph(t, belief.MustNew(ivs), ft)
-		match, err := g.PerfectMatching()
-		want := g.ToExplicit().HasPerfectMatching()
+		match, err := g.PerfectMatchingCtx(context.Background())
+		want := hasPerfectMatching(t, g.ToExplicit())
 		if (err == nil) != want {
 			t.Fatalf("trial %d: greedy feasibility %v, Hopcroft-Karp %v", trial, err == nil, want)
 		}

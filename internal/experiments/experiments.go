@@ -202,7 +202,8 @@ func (r *Report) String() string {
 // independent table rows and figure points on the parallel worker pool of
 // ctx (parallel.Workers) with ordered result collection, and respects the
 // context's budget: deadline or -max-work exhaustion surfaces as a typed
-// budget error.
+// budget error. The exceptions are delta (closed forms) and figure9
+// (dataset statistics), which run no budgeted kernel.
 type Experiment struct {
 	ID    string
 	Title string

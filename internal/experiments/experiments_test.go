@@ -6,6 +6,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/budget"
 )
 
 func quickRun(t *testing.T, id string) *Report {
@@ -43,6 +45,29 @@ func TestRegistry(t *testing.T) {
 	}
 	if _, ok := ByID("nope"); ok {
 		t.Error("ByID(nope) should fail")
+	}
+}
+
+// TestExperimentsHonorCanceledContext pins the Experiment.Run contract: under
+// a context canceled before the run starts, every experiment that runs a
+// budgeted kernel fails with a typed budget error instead of completing.
+func TestExperimentsHonorCanceledContext(t *testing.T) {
+	exempt := map[string]string{
+		"delta":   "closed-form chain formulas; no budgeted kernel runs",
+		"figure9": "dataset statistics only; no budgeted kernel runs",
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, exp := range All() {
+		t.Run(exp.ID, func(t *testing.T) {
+			if why, ok := exempt[exp.ID]; ok {
+				t.Skip(why)
+			}
+			_, err := exp.Run(ctx, Config{Seed: 1, Quick: true})
+			if !budget.IsBudgetError(err) {
+				t.Errorf("%s under a canceled context: err = %v, want a budget error", exp.ID, err)
+			}
+		})
 	}
 }
 

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"repro/internal/belief"
@@ -160,8 +161,10 @@ func figure11Simulation(ctx context.Context, cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		if !g.Feasible() {
+		if _, err := g.PerfectMatchingCtx(ctx); errors.Is(err, bipartite.ErrInfeasible) {
 			return []string{f2(a), "infeasible", "-"}, nil
+		} else if err != nil {
+			return nil, err
 		}
 		est, err := matching.EstimateCracksCtx(ctx, g, scfg, rng)
 		if err != nil {

@@ -31,11 +31,11 @@ func RunFigure12(ctx context.Context, cfg Config) (*Report, error) {
 		if err != nil {
 			return Table{}, err
 		}
-		med, err := recipe.SimilarityBySamplingCounts(ft, figure12Fractions, samples, recipe.UseMedianGap, rng)
+		med, err := recipe.SimilarityBySamplingCounts(ctx, ft, figure12Fractions, samples, recipe.UseMedianGap, rng)
 		if err != nil {
 			return Table{}, err
 		}
-		mean, err := recipe.SimilarityBySamplingCounts(ft, figure12Fractions, samples, recipe.UseMeanGap, rng)
+		mean, err := recipe.SimilarityBySamplingCounts(ctx, ft, figure12Fractions, samples, recipe.UseMeanGap, rng)
 		if err != nil {
 			return Table{}, err
 		}

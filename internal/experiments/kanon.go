@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"repro/internal/budget"
 	"repro/internal/kanon"
 	"repro/internal/relation"
 )
@@ -17,7 +18,7 @@ import (
 // (k = smallest anonymity set, often 1); k-anonymization coarsens values
 // until every record hides among at least k, cutting expected
 // re-identifications at a measurable precision cost.
-func RunKanon(_ context.Context, cfg Config) (*Report, error) {
+func RunKanon(ctx context.Context, cfg Config) (*Report, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	rep := &Report{ID: "kanon", Title: "Baseline: k-anonymization vs plain anonymization (relational release)"}
 
@@ -49,7 +50,13 @@ func RunKanon(_ context.Context, cfg Config) (*Report, error) {
 		f4(pop.ExpectedCracksFullKnowledge() / float64(n)),
 		"1.000", "-",
 	})
+	// The lattice search behind each k is the expensive part; the context
+	// is checked before each one.
+	bud := budget.New(ctx, budget.Config{})
 	for _, k := range []int{2, 5, 10, 25} {
+		if err := bud.Check(); err != nil {
+			return nil, fmt.Errorf("kanon: %w", err)
+		}
 		res, err := kanon.Anonymize(pop, hierarchies, k)
 		if err != nil {
 			return nil, err

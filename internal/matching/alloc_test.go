@@ -21,7 +21,7 @@ func allocSampler(t testing.TB) *Sampler {
 	ft := mustTable(t, 60, []int{4, 4, 11, 11, 11, 19, 19, 28, 28, 39, 39, 39, 50, 50})
 	bf := belief.UniformWidth(ft.Frequencies(), 0.09)
 	g := buildGraph(t, bf, ft)
-	s, err := NewSampler(g, rand.New(rand.NewSource(17)))
+	s, err := NewSampler(context.Background(), g, rand.New(rand.NewSource(17)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,12 +77,12 @@ func TestSimulateRunSteadyStateAllocs(t *testing.T) {
 	g := buildGraph(t, bf, ft)
 	cfg := Config{SeedSweeps: 5, SampleGap: 2, SamplesPerSeed: 10, Samples: 30, Runs: 1}.withDefaults()
 	sc := &runScratch{bud: budget.NewShared(context.Background(), budget.Config{}).Worker()}
-	if _, err := simulateRun(g, cfg, parallel.SplitSeed(1, 0), sc); err != nil {
+	if _, err := simulateRun(context.Background(), g, cfg, parallel.SplitSeed(1, 0), sc); err != nil {
 		t.Fatal(err) // warm-up run binds the scratch
 	}
 	run := uint64(1)
 	n := testing.AllocsPerRun(50, func() {
-		if _, err := simulateRun(g, cfg, parallel.SplitSeed(1, run), sc); err != nil {
+		if _, err := simulateRun(context.Background(), g, cfg, parallel.SplitSeed(1, run), sc); err != nil {
 			t.Fatal(err)
 		}
 		run++
@@ -101,12 +101,12 @@ func TestSimulateRunBatchedSteadyStateAllocs(t *testing.T) {
 	g := buildGraph(t, bf, ft)
 	cfg := Config{SeedSweeps: 5, SampleGap: 2, SamplesPerSeed: 10, Samples: 30, Runs: 1, BatchK: 64}.withDefaults()
 	sc := &runScratch{bud: budget.NewShared(context.Background(), budget.Config{}).Worker()}
-	if _, err := simulateRun(g, cfg, parallel.SplitSeed(1, 0), sc); err != nil {
+	if _, err := simulateRun(context.Background(), g, cfg, parallel.SplitSeed(1, 0), sc); err != nil {
 		t.Fatal(err) // warm-up run binds the scratch and sizes the buffer
 	}
 	run := uint64(1)
 	n := testing.AllocsPerRun(50, func() {
-		if _, err := simulateRun(g, cfg, parallel.SplitSeed(1, run), sc); err != nil {
+		if _, err := simulateRun(context.Background(), g, cfg, parallel.SplitSeed(1, run), sc); err != nil {
 			t.Fatal(err)
 		}
 		run++
@@ -142,7 +142,7 @@ func TestIncrementalCracksMatchesRecount(t *testing.T) {
 		ft := mustTable(t, m, counts)
 		bf := belief.RandomCompliant(ft.Frequencies(), 0.25, rng)
 		g := buildGraph(t, bf, ft)
-		s, err := NewSampler(g, rng)
+		s, err := NewSampler(context.Background(), g, rng)
 		if err != nil {
 			t.Fatal(err)
 		}

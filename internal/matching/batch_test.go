@@ -25,11 +25,11 @@ func TestBatchK1ByteIdentical(t *testing.T) {
 	ft := mustTable(t, 60, []int{4, 4, 11, 11, 11, 19, 19, 28, 28, 39, 39, 39, 50, 50})
 	bf := belief.UniformWidth(ft.Frequencies(), 0.09)
 	g := buildGraph(t, bf, ft)
-	legacy, err := NewSampler(g, rand.New(rand.NewSource(9)))
+	legacy, err := NewSampler(context.Background(), g, rand.New(rand.NewSource(9)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	batched, err := NewSampler(g, rand.New(rand.NewSource(9)))
+	batched, err := NewSampler(context.Background(), g, rand.New(rand.NewSource(9)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,11 +94,11 @@ func TestBatchSweepMatchesExact(t *testing.T) {
 			ft := mustTable(t, m, counts)
 			bf := belief.RandomCompliant(ft.Frequencies(), 0.2, rng)
 			g := buildGraph(t, bf, ft)
-			exact, err := core.ExactExpectedCracks(g.ToExplicit())
+			exact, err := core.ExactExpectedCracksCtx(context.Background(), g.ToExplicit())
 			if err != nil {
 				t.Fatal(err)
 			}
-			est, err := EstimateCracks(g, Config{Samples: 3000, Runs: 3, BatchK: k}, rng)
+			est, err := EstimateCracksCtx(context.Background(), g, Config{Samples: 3000, Runs: 3, BatchK: k}, rng)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -116,7 +116,7 @@ func TestBatchSweepInvariants(t *testing.T) {
 	ft := mustTable(t, 60, []int{4, 4, 11, 11, 11, 19, 19, 28, 28, 39, 39, 39, 50, 50})
 	bf := belief.UniformWidth(ft.Frequencies(), 0.09)
 	g := buildGraph(t, bf, ft)
-	s, err := NewSampler(g, rand.New(rand.NewSource(3)))
+	s, err := NewSampler(context.Background(), g, rand.New(rand.NewSource(3)))
 	if err != nil {
 		t.Fatal(err)
 	}

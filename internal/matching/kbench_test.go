@@ -7,6 +7,7 @@ package matching
 // byte-identical replay path.
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -22,7 +23,7 @@ func kernelSampler(b *testing.B) *Sampler {
 	ft := mustTable(b, 200, counts)
 	bf := belief.UniformWidth(ft.Frequencies(), 0.01)
 	g := buildGraph(b, bf, ft)
-	s, err := NewSampler(g, rand.New(rand.NewSource(17)))
+	s, err := NewSampler(context.Background(), g, rand.New(rand.NewSource(17)))
 	if err != nil {
 		b.Fatal(err)
 	}

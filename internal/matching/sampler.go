@@ -126,10 +126,11 @@ type Sampler struct {
 // caller's generator contributes exactly one draw — the seed of the
 // sampler's internal SplitMix64 stream — so construction stays deterministic
 // for a fixed rng. It returns bipartite.ErrInfeasible when no consistent
-// matching exists at all.
-func NewSampler(g *bipartite.Graph, rng *rand.Rand) (*Sampler, error) {
+// matching exists at all, and ctx's budget error when the greedy seed
+// matching (see Reset) runs out of it.
+func NewSampler(ctx context.Context, g *bipartite.Graph, rng *rand.Rand) (*Sampler, error) {
 	s := &Sampler{}
-	if err := s.Reset(g, rng.Int63()); err != nil {
+	if err := s.Reset(ctx, g, rng.Int63()); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -140,10 +141,11 @@ func NewSampler(g *bipartite.Graph, rng *rand.Rand) (*Sampler, error) {
 // was previously bound to a graph of at least the same domain size; the
 // per-worker scratch of EstimateCracksCtx relies on this to run every chain
 // allocation-free after the first. It returns bipartite.ErrInfeasible when
-// the graph admits no consistent matching.
-func (s *Sampler) Reset(g *bipartite.Graph, seed int64) error {
+// the graph admits no consistent matching. Binding a new graph that is not
+// compliant runs the greedy seed matching under ctx's budget.
+func (s *Sampler) Reset(ctx context.Context, g *bipartite.Graph, seed int64) error {
 	if s.g != g {
-		if err := s.bind(g); err != nil {
+		if err := s.bind(ctx, g); err != nil {
 			return err
 		}
 	}
@@ -155,11 +157,11 @@ func (s *Sampler) Reset(g *bipartite.Graph, seed int64) error {
 // bind captures g's flat layout and establishes the base seed matching: the
 // identity when the graph is compliant, a greedy perfect matching otherwise
 // (both deterministic, so they are computed once and reused by reseed).
-func (s *Sampler) bind(g *bipartite.Graph) error {
+func (s *Sampler) bind(ctx context.Context, g *bipartite.Graph) error {
 	match, err := g.IdentityMatching()
 	identity := err == nil
 	if !identity {
-		if match, err = g.PerfectMatching(); err != nil {
+		if match, err = g.PerfectMatchingCtx(ctx); err != nil {
 			return err
 		}
 	}
@@ -465,17 +467,6 @@ type Estimate struct {
 // Fraction returns the estimate as a fraction of the domain size n.
 func (e *Estimate) Fraction(n int) float64 { return e.Mean / float64(n) }
 
-// EstimateCracks runs the full simulation of Section 7.1: cfg.Runs
-// independent runs, each drawing cfg.Samples crack counts from the matching
-// space, and returns the across-run mean and standard deviation. Runs
-// execute on the parallel worker pool; results are bit-identical for a given
-// rng regardless of the worker count, because each run's random stream is
-// seeded from a single root (parallel.SplitSeed) and run means are reduced
-// in run order.
-func EstimateCracks(g *bipartite.Graph, cfg Config, rng *rand.Rand) (*Estimate, error) {
-	return EstimateCracksCtx(context.Background(), g, cfg, rng)
-}
-
 // runScratch is one pool worker's reusable state: a rebindable sampler and
 // the worker's batching view of the shared budget. A scratch is owned by
 // exactly one ForEachWorker index, so chains reuse its memory run after run
@@ -486,14 +477,22 @@ type runScratch struct {
 	bud *budget.Worker
 }
 
-// EstimateCracksCtx is EstimateCracks under a work budget: every run charges
-// one operation per move proposal, so a deadline or operation limit aborts
-// the chains between sweeps instead of hanging. The runs execute on at most
-// parallel.Workers(ctx) goroutines and charge ONE shared budget atomically
-// (budget.Shared), so an operation limit bounds the whole simulation — the
-// same work the serial execution would have done — not each run separately.
-// The first budget error (by run index) is returned verbatim, so it stays
-// degradable for the caller's cascade; no partial estimate is produced.
+// EstimateCracksCtx runs the full simulation of Section 7.1: cfg.Runs
+// independent runs, each drawing cfg.Samples crack counts from the matching
+// space, and returns the across-run mean and standard deviation. Runs
+// execute on the parallel worker pool; results are bit-identical for a given
+// rng regardless of the worker count, because each run's random stream is
+// seeded from a single root (parallel.SplitSeed) and run means are reduced
+// in run order.
+//
+// Every run charges one operation per move proposal, so a deadline or
+// operation limit aborts the chains between sweeps instead of hanging. The
+// runs execute on at most parallel.Workers(ctx) goroutines and charge ONE
+// shared budget atomically (budget.Shared), so an operation limit bounds the
+// whole simulation — the same work the serial execution would have done — not
+// each run separately. The first budget error (by run index) is returned
+// verbatim, so it stays degradable for the caller's cascade; no partial
+// estimate is produced.
 func EstimateCracksCtx(ctx context.Context, g *bipartite.Graph, cfg Config, rng *rand.Rand) (*Estimate, error) {
 	cfg = cfg.withDefaults()
 	est := &Estimate{
@@ -508,7 +507,7 @@ func EstimateCracksCtx(ctx context.Context, g *bipartite.Graph, cfg Config, rng 
 		scratch[w].bud = shared.Worker()
 	}
 	err := parallel.ForEachWorker(ctx, workers, cfg.Runs, func(worker, run int) error {
-		mean, err := simulateRun(g, cfg, parallel.SplitSeed(root, uint64(run)), &scratch[worker])
+		mean, err := simulateRun(ctx, g, cfg, parallel.SplitSeed(root, uint64(run)), &scratch[worker])
 		if err != nil {
 			return fmt.Errorf("matching: run %d: %w", run, err)
 		}
@@ -527,14 +526,14 @@ func EstimateCracksCtx(ctx context.Context, g *bipartite.Graph, cfg Config, rng 
 // scratch, charging the budget one operation per proposal (n per sweep).
 // Everything the run computes is a pure function of (g, cfg, seed); the
 // scratch only supplies reusable memory.
-func simulateRun(g *bipartite.Graph, cfg Config, seed int64, sc *runScratch) (float64, error) {
+func simulateRun(ctx context.Context, g *bipartite.Graph, cfg Config, seed int64, sc *runScratch) (float64, error) {
 	bud := sc.bud
 	if err := bud.Check(); err != nil {
 		return 0, err
 	}
 	sweepCost := int64(g.Items())
 	s := &sc.s
-	if err := s.Reset(g, seed); err != nil {
+	if err := s.Reset(ctx, g, seed); err != nil {
 		return 0, err
 	}
 	s.PaperMoves = cfg.PaperMoves
@@ -575,9 +574,9 @@ func simulateRun(g *bipartite.Graph, cfg Config, seed int64, sc *runScratch) (fl
 
 // ExpectedCracksEnumerated computes the exact expected crack count of a small
 // explicit graph by exhaustive enumeration — ground truth for sampler tests.
-func ExpectedCracksEnumerated(e *bipartite.Explicit) (float64, error) {
+func ExpectedCracksEnumerated(ctx context.Context, e *bipartite.Explicit) (float64, error) {
 	total, sum := 0, 0
-	err := e.EnumeratePerfectMatchings(0, func(match []int) {
+	err := e.EnumeratePerfectMatchingsCtx(ctx, 0, func(match []int) {
 		total++
 		for w, x := range match {
 			if w == x {

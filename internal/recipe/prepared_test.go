@@ -281,7 +281,7 @@ func TestAlphaLevelRoundsHalfUp(t *testing.T) {
 			{0.29, 3},
 			{1, 10},
 		} {
-			got, err := s.OEAt(c.alpha)
+			got, err := s.OEAtCtx(context.Background(), c.alpha)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,10 +1,12 @@
 package recipe
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
 	"repro/internal/belief"
+	"repro/internal/budget"
 	"repro/internal/dataset"
 )
 
@@ -35,10 +37,11 @@ const (
 // for each sample fraction p it draws `samples` transaction samples D_p,
 // builds the belief function [f̂_x − δ', f̂_x + δ'] from each sample's
 // frequencies and gap statistic, and measures its degree of compliancy
-// against the true frequencies.
-func SimilarityBySampling(db *dataset.Database, fractions []float64, samples int, gap GapChoice, rng *rand.Rand) ([]SamplePoint, error) {
+// against the true frequencies. The context is checked once per sample, so
+// a deadline or cancellation stops the curve with a typed budget error.
+func SimilarityBySampling(ctx context.Context, db *dataset.Database, fractions []float64, samples int, gap GapChoice, rng *rand.Rand) ([]SamplePoint, error) {
 	trueFreqs := db.Frequencies()
-	return similarityCurve(fractions, samples, trueFreqs, func(p float64) (*dataset.FrequencyTable, error) {
+	return similarityCurve(ctx, fractions, samples, trueFreqs, func(p float64) (*dataset.FrequencyTable, error) {
 		s, err := dataset.Sample(db, p, rng)
 		if err != nil {
 			return nil, err
@@ -50,15 +53,16 @@ func SimilarityBySampling(db *dataset.Database, fractions []float64, samples int
 // SimilarityBySamplingCounts is the count-level variant used for the planted
 // synthetic benchmarks, where per-item sampled counts follow independent
 // hypergeometric laws (see dataset.SampleCounts); it runs Figure 13 at the
-// paper's full RETAIL scale in milliseconds.
-func SimilarityBySamplingCounts(ft *dataset.FrequencyTable, fractions []float64, samples int, gap GapChoice, rng *rand.Rand) ([]SamplePoint, error) {
+// paper's full RETAIL scale in milliseconds. The context is checked as in
+// SimilarityBySampling.
+func SimilarityBySamplingCounts(ctx context.Context, ft *dataset.FrequencyTable, fractions []float64, samples int, gap GapChoice, rng *rand.Rand) ([]SamplePoint, error) {
 	trueFreqs := ft.Frequencies()
-	return similarityCurve(fractions, samples, trueFreqs, func(p float64) (*dataset.FrequencyTable, error) {
+	return similarityCurve(ctx, fractions, samples, trueFreqs, func(p float64) (*dataset.FrequencyTable, error) {
 		return dataset.SampleCounts(ft, p, rng)
 	}, gap)
 }
 
-func similarityCurve(fractions []float64, samples int, trueFreqs []float64,
+func similarityCurve(ctx context.Context, fractions []float64, samples int, trueFreqs []float64,
 	sample func(p float64) (*dataset.FrequencyTable, error), gap GapChoice) ([]SamplePoint, error) {
 
 	if samples <= 0 {
@@ -67,6 +71,7 @@ func similarityCurve(fractions []float64, samples int, trueFreqs []float64,
 	if len(fractions) == 0 {
 		return nil, fmt.Errorf("recipe: no sample fractions given")
 	}
+	bud := budget.New(ctx, budget.Config{})
 	var out []SamplePoint
 	for _, p := range fractions {
 		if p <= 0 || p > 1 {
@@ -75,6 +80,9 @@ func similarityCurve(fractions []float64, samples int, trueFreqs []float64,
 		var alphas []float64
 		gapSum := 0.0
 		for s := 0; s < samples; s++ {
+			if err := bud.Check(); err != nil {
+				return nil, fmt.Errorf("recipe: similarity by sampling: %w", err)
+			}
 			st, err := sample(p)
 			if err != nil {
 				return nil, err
