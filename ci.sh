@@ -1,25 +1,14 @@
 #!/bin/sh
 # ci.sh — the repo's continuous-integration gate, runnable locally.
 #
-#   ./ci.sh          vet + riskvet + build + race-enabled tests
+#   ./ci.sh          vet + riskvet + build + race-enabled tests, then vet,
+#                    build and test the perfbench module (its own go.mod, so
+#                    the root ./... never compiles it)
 #   ./ci.sh -short   same, with -short tests plus brief fuzz runs of the
 #                    two parser fuzzers against their committed corpora
-#   ./ci.sh -bench   additionally run the parallel-engine benchmarks at
-#                    GOMAXPROCS=1 and GOMAXPROCS=nproc plus the kernel
-#                    microbenchmarks (bitset O-estimate scan vs the boolean
-#                    loop it replaced) and emit BENCH_parallel.json (one run
-#                    object per gomaxprocs with ns/op and speedup vs serial
-#                    per worker count, a microbenchmarks section, and — on
-#                    single-core machines — a flat_parallel_warning note)
-#                    to track the perf trajectory
 #   ./ci.sh -serve   additionally run the riskd serving smoke test
 #                    (ephemeral port, health probe, assess round-trip,
 #                    cached repeat, clean shutdown)
-#   ./ci.sh -serve-bench  additionally run cmd/riskbench against a
-#                    self-hosted riskd — four deterministic traffic mixes
-#                    (hot_digest, cold_digest, delta, degraded), fixed seed —
-#                    and emit BENCH_serve.json (p50/p99 latency, throughput,
-#                    and a workload digest per mix)
 #   ./ci.sh -lint    additionally run staticcheck and govulncheck when they
 #                    are installed (each is skipped with a notice otherwise;
 #                    this container has no network to fetch them)
@@ -53,16 +42,13 @@
 # escape-analysis gate: kernel heap escapes must match the committed
 # baseline, in both directions (new escapes and stale entries both fail).
 #
-# Flags combine in any order: ./ci.sh -short -bench -serve -serve-bench
-# -lint -chaos -registry -delta -escape-update. Exits non-zero on the first
-# failure.
+# Flags combine in any order: ./ci.sh -short -serve -lint -chaos -registry
+# -delta -escape-update. Exits non-zero on the first failure.
 set -eu
 cd "$(dirname "$0")"
 
 short=""
-bench=""
 serve=""
-serve_bench=""
 lint=""
 chaos=""
 registry=""
@@ -71,9 +57,7 @@ escape_update=""
 for arg in "$@"; do
 	case "$arg" in
 	-short) short="-short" ;;
-	-bench) bench="yes" ;;
 	-serve) serve="yes" ;;
-	-serve-bench) serve_bench="yes" ;;
 	-lint) lint="yes" ;;
 	-chaos) chaos="yes" ;;
 	-registry) registry="yes" ;;
@@ -81,7 +65,7 @@ for arg in "$@"; do
 	-escape-update) escape_update="yes" ;;
 	*)
 		echo "ci.sh: unknown flag: $arg" >&2
-		echo "usage: ./ci.sh [-short] [-bench] [-serve] [-serve-bench] [-lint] [-chaos] [-registry] [-delta] [-escape-update]" >&2
+		echo "usage: ./ci.sh [-short] [-serve] [-lint] [-chaos] [-registry] [-delta] [-escape-update]" >&2
 		exit 2
 		;;
 	esac
@@ -107,6 +91,9 @@ go build ./...
 echo "== go test -race =="
 go test -race $short ./...
 
+echo "== perfbench (vet, build, test) =="
+(cd perfbench && go vet ./... && go build -o /dev/null ./... && go test ./...)
+
 if [ -n "$short" ]; then
 	echo "== fuzz (committed corpora, 5s each) =="
 	go test -run '^$' -fuzz '^FuzzReadFIMI$' -fuzztime 5s ./internal/dataset/
@@ -127,118 +114,9 @@ if [ -n "$lint" ]; then
 	fi
 fi
 
-if [ -n "$bench" ]; then
-	echo "== parallel benchmarks =="
-	# Measure at GOMAXPROCS=1 (the serial kernel's speed and the baseline
-	# every speedup divides by) AND at GOMAXPROCS=nproc (real multi-core
-	# scaling). Speedup-vs-serial recorded at a single GOMAXPROCS=1 run is
-	# meaningless — every worker count times the same one-core schedule —
-	# which is how the pre-flat-kernel numbers could claim "no parallel
-	# speedup" without ever running on more than one core. On a one-core
-	# machine the two settings coincide and a single run is recorded.
-	# The JSON records the gomaxprocs each benchmark process actually used:
-	# the testing package appends runtime.GOMAXPROCS(0) as the "-N" suffix
-	# of every benchmark name, and the awk below reads it from there rather
-	# than trusting the environment or nproc.
-	nproc_val="$(nproc 2>/dev/null || echo 1)"
-	gmps="1"
-	note=""
-	if [ "$nproc_val" -gt 1 ]; then
-		gmps="1 $nproc_val"
-	else
-		note="flat_parallel_warning: single-core machine — every worker count shares one core, so speedup_vs_serial is ~1.0 at all widths by construction; only the serial ns_per_op trajectory is meaningful here"
-	fi
-	printf '{\n  "machine_nproc": %s,\n' "$nproc_val" >BENCH_parallel.tmp
-	if [ -n "$note" ]; then
-		printf '  "note": "%s",\n' "$note" >>BENCH_parallel.tmp
-	fi
-	# Kernel microbenchmarks: the word-parallel O-estimate scan vs the
-	# historical boolean loop it replaced, recorded with the bitset kernel's
-	# speedup so the perf trajectory pins the win (target: >= 2x).
-	echo "-- kernel microbenchmarks --"
-	go test -run '^$' -bench 'BenchmarkOEstimateScan' -benchtime 2s ./internal/core/ |
-		tee BENCH_micro.txt |
-		awk '
-		/^BenchmarkOEstimateScan\// {
-			split($1, parts, "/")
-			impl = parts[2]
-			sub(/-[0-9]+$/, "", impl)
-			ns[impl] = $3 + 0
-		}
-		END {
-			if (!("impl=bitset" in ns) || !("impl=bools" in ns)) {
-				print "ci.sh: no microbenchmark output to parse" > "/dev/stderr"
-				exit 1
-			}
-			sp = ns["impl=bitset"] > 0 ? ns["impl=bools"] / ns["impl=bitset"] : 0
-			printf "  \"microbenchmarks\": {\n"
-			printf "    \"OEstimateScan\": {\n"
-			printf "      \"impl=bools\": {\"ns_per_op\": %.0f},\n", ns["impl=bools"]
-			printf "      \"impl=bitset\": {\"ns_per_op\": %.0f, \"speedup_vs_bools\": %.3f}\n", ns["impl=bitset"], sp
-			printf "    }\n  },\n"
-		}' >>BENCH_parallel.tmp
-	printf '  "runs": [' >>BENCH_parallel.tmp
-	first_run=1
-	for gmp in $gmps; do
-		[ "$first_run" -eq 1 ] || printf ',' >>BENCH_parallel.tmp
-		first_run=0
-		echo "-- GOMAXPROCS=$gmp --"
-		GOMAXPROCS=$gmp go test -run '^$' -bench 'BenchmarkSamplerParallel|BenchmarkCurveParallel' -benchtime 2s . |
-			tee BENCH_parallel.txt |
-			awk '
-			/^Benchmark(Sampler|Curve)Parallel\// {
-				split($1, parts, "/")
-				sub(/Benchmark/, "", parts[1])
-				if (match(parts[2], /-[0-9]+$/)) {
-					gmp = substr(parts[2], RSTART + 1) + 0
-					parts[2] = substr(parts[2], 1, RSTART - 1)
-				}
-				sub(/workers=/, "", parts[2])
-				bench = parts[1]; workers = parts[2] + 0; ns = $3 + 0
-				nsop[bench "," workers] = ns
-				if (workers == 1) serial[bench] = ns
-				if (!(bench in seen)) { order[++n] = bench; seen[bench] = 1 }
-			}
-			END {
-				if (n == 0) { print "ci.sh: no benchmark output to parse" > "/dev/stderr"; exit 1 }
-				# The testing package omits the "-N" suffix exactly when
-				# runtime.GOMAXPROCS(0) == 1, so no captured suffix means 1.
-				if (gmp + 0 == 0) gmp = 1
-				printf "\n    {\n      \"gomaxprocs\": %d,\n      \"benchmarks\": {", gmp + 0
-				for (i = 1; i <= n; i++) {
-					b = order[i]
-					printf "%s\n        \"%s\": {", (i > 1 ? "," : ""), b
-					first = 1
-					for (w = 1; w <= 8; w *= 2) {
-						if (!((b "," w) in nsop)) continue
-						sp = serial[b] > 0 ? serial[b] / nsop[b "," w] : 0
-						printf "%s\n          \"workers=%d\": {\"ns_per_op\": %.0f, \"speedup_vs_serial\": %.3f}", \
-							(first ? "" : ","), w, nsop[b "," w], sp
-						first = 0
-					}
-					printf "\n        }"
-				}
-				printf "\n      }\n    }"
-			}' >>BENCH_parallel.tmp
-	done
-	printf '\n  ]\n}\n' >>BENCH_parallel.tmp
-	mv BENCH_parallel.tmp BENCH_parallel.json
-	rm -f BENCH_parallel.txt BENCH_micro.txt
-	echo "wrote BENCH_parallel.json"
-fi
-
 if [ -n "$serve" ]; then
 	echo "== riskd serving smoke test =="
 	go run ./cmd/riskd -selfcheck
-fi
-
-if [ -n "$serve_bench" ]; then
-	echo "== serving benchmark (cmd/riskbench, self-hosted riskd) =="
-	# Fixed (seed, requests): each mix's workload digest in the output is a
-	# pure function of these, so consecutive runs replay identical work and
-	# the latency/throughput numbers are comparable run over run.
-	go run ./cmd/riskbench -requests 200 -concurrency 4 -seed 1 -o BENCH_serve.json
-	echo "wrote BENCH_serve.json"
 fi
 
 if [ -n "$chaos" ]; then

@@ -2,8 +2,8 @@
 // SIGMOD 2005 paper "To Do or Not To Do: The Dilemma of Disclosing Anonymized
 // Data", together with the graph algorithms the paper's analyses need:
 // outdegree computation for the O-estimate (Figure 5), degree-1 propagation
-// (Figure 7), perfect-matching feasibility, exact permanents for the direct
-// method (Section 4.1), and Rasmussen's randomized permanent estimator [21].
+// (Figure 7), perfect-matching feasibility, and exact permanents for the
+// direct method (Section 4.1).
 //
 // Because belief intervals select contiguous runs of sorted frequency groups,
 // the graph admits a compact representation — one group range per item plus

@@ -222,27 +222,6 @@ func TestHopcroftKarpAgainstEnumeration(t *testing.T) {
 	}
 }
 
-func TestRasmussenUnbiased(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	for trial := 0; trial < 5; trial++ {
-		n := 3 + rng.Intn(4)
-		e := RandomExplicit(n, 0.6, rng)
-		exact, err := e.CountPerfectMatchingsCtx(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, _ := new(big.Float).SetInt(exact).Float64()
-		got, err := RasmussenEstimateCtx(context.Background(), e, 60000, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tol := 0.15*want + 0.5
-		if math.Abs(got-want) > tol {
-			t.Errorf("trial %d (n=%d): Rasmussen = %v, exact = %v", trial, n, got, want)
-		}
-	}
-}
-
 func TestExplicitValidation(t *testing.T) {
 	if _, err := NewExplicit(0, nil); err == nil {
 		t.Error("NewExplicit(0): want error")

@@ -2,9 +2,10 @@ package core
 
 // Microbenchmark of the word-parallel O-estimate scan against the historical
 // item-at-a-time boolean loop it replaced (the inner loop of
-// referenceOEstimate, verbatim). ci.sh -bench records both under
-// "microbenchmarks" in BENCH_parallel.json; the bitset kernel's win is the
-// speedup_vs_bools ratio there.
+// referenceOEstimate, verbatim). The bitset kernel's win is the ratio of
+// the impl=bools to the impl=bitset ns/op:
+//
+//	go test -run '^$' -bench OEstimateScan ./internal/core/
 
 import (
 	"context"

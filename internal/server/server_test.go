@@ -5,10 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -216,6 +218,153 @@ func TestQueueExhaustionGives503(t *testing.T) {
 	}
 	if rec.Header().Get("Retry-After") == "" {
 		t.Error("503 response missing Retry-After header")
+	}
+}
+
+func TestRequestTimeoutDegradesRealCompute(t *testing.T) {
+	// Four distinct large releases in flight at once, each lowering the
+	// server's unlimited budget to 1ms via timeout_ms: the recipe needs a
+	// few ms at this size, so the budget expires and answers come back as a
+	// degraded 200 (a cheaper tier ran) or a 503 + Retry-After (even the
+	// floor could not). Any other status is a serving fault.
+	ts := httptest.NewServer(New(Config{}).Handler())
+	defer ts.Close()
+	client := &http.Client{Timeout: time.Minute}
+
+	const releases, items = 4, 2500
+	type result struct {
+		code       int
+		retryAfter string
+		degraded   bool
+		err        error
+	}
+	results := make([]result, releases)
+	var wg sync.WaitGroup
+	for r := 0; r < releases; r++ {
+		rng := rand.New(rand.NewSource(int64(r) + 1))
+		counts := make([]int, items)
+		for i := range counts {
+			counts[i] = 1 + rng.Intn(3*items)
+		}
+		raw, _ := json.Marshal(counts)
+		body := fmt.Sprintf(`{"dataset": {"transactions": %d, "counts": %s}, "timeout_ms": 1}`, 3*items, raw)
+		wg.Add(1)
+		go func(res *result) {
+			defer wg.Done()
+			resp, err := client.Post(ts.URL+"/v1/assess", "application/json", strings.NewReader(body))
+			if err != nil {
+				res.err = err
+				return
+			}
+			defer resp.Body.Close()
+			res.code, res.retryAfter = resp.StatusCode, resp.Header.Get("Retry-After")
+			if resp.StatusCode == http.StatusOK {
+				var ar AssessResponse
+				res.err = json.NewDecoder(resp.Body).Decode(&ar)
+				res.degraded = ar.Outcome != nil && ar.Degraded
+			}
+		}(&results[r])
+	}
+	wg.Wait()
+
+	budgeted := 0
+	for r, res := range results {
+		switch {
+		case res.err != nil:
+			t.Errorf("release %d: %v", r, res.err)
+		case res.code == http.StatusServiceUnavailable:
+			budgeted++
+			if res.retryAfter == "" {
+				t.Errorf("release %d: 503 missing Retry-After header", r)
+			}
+		case res.code == http.StatusOK:
+			if res.degraded {
+				budgeted++
+			}
+		default:
+			t.Errorf("release %d: HTTP %d, want 200 or 503", r, res.code)
+		}
+	}
+	if budgeted == 0 {
+		t.Errorf("no degraded 200 or 503 among %d releases under timeout_ms 1", releases)
+	}
+}
+
+// postWire sends one JSON request to a live test server and decodes a 200
+// answer into out.
+func postWire(t *testing.T, client *http.Client, url, body string, out any) {
+	t.Helper()
+	resp, err := client.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s: HTTP %d", url, resp.StatusCode)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// randomCountsBody builds an inline-counts release of n items with random
+// supports over 3n transactions, large enough to reach the α search.
+func randomCountsBody(seed int64, n int) string {
+	rng := rand.New(rand.NewSource(seed))
+	counts := make([]int, n)
+	for i := range counts {
+		counts[i] = 1 + rng.Intn(3*n)
+	}
+	raw, _ := json.Marshal(counts)
+	return fmt.Sprintf(`{"dataset": {"transactions": %d, "counts": %s}}`, 3*n, raw)
+}
+
+func TestHotMixHitsCache(t *testing.T) {
+	// One release sent eight times in sequence over the wire: request 0 is
+	// the cold fill, every repeat is a cache hit.
+	ts := httptest.NewServer(New(Config{}).Handler())
+	defer ts.Close()
+	client := &http.Client{Timeout: time.Minute}
+
+	const requests = 8
+	body := randomCountsBody(7, 40)
+	cached := 0
+	for i := 0; i < requests; i++ {
+		var ar AssessResponse
+		postWire(t, client, ts.URL+"/v1/assess", body, &ar)
+		if ar.Cached {
+			cached++
+		}
+	}
+	if cached != requests-1 {
+		t.Errorf("hot mix: %d cached of %d, want %d", cached, requests, requests-1)
+	}
+}
+
+func TestDeltaMixChainsIncrementally(t *testing.T) {
+	// One base release, then a chain of diffs that each add a transaction
+	// and raise one item, every diff built on the previous answer's digest.
+	ts := httptest.NewServer(New(Config{}).Handler())
+	defer ts.Close()
+	client := &http.Client{Timeout: time.Minute}
+
+	const items, diffs = 40, 5
+	var base AssessResponse
+	postWire(t, client, ts.URL+"/v1/assess", randomCountsBody(7, items), &base)
+	digest := base.Digest
+	rng := rand.New(rand.NewSource(7))
+	incremental := 0
+	for i := 0; i < diffs; i++ {
+		var dr DeltaResponse
+		body := deltaBody(digest, 1, []int{rng.Intn(items)}, []int{1 + rng.Intn(2)}, "")
+		postWire(t, client, ts.URL+"/v1/assess/delta", body, &dr)
+		if dr.Incremental {
+			incremental++
+		}
+		digest = dr.Digest
+	}
+	if incremental == 0 {
+		t.Errorf("delta mix: no incremental responses in %d diffs", diffs)
 	}
 }
 
